@@ -6,6 +6,12 @@ records wall-clock and events/s into ``BENCH_sim.json``.  Note that
 batching (a coalesced broadcast fan-out counts as one event); wall-clock
 for the identical workload is the cross-revision metric.
 
+Quick mode simulates a smaller workload whose wall clock is not comparable
+with the full-size history, so ``--quick --check`` gates deterministic
+work counts instead: the run's ``QUICK_COUNTS`` must equal the last row of
+the ``QUICK_SCENARIO`` history exactly (record one with ``--quick --record``
+when a change moves them on purpose).
+
 Run::
 
     PYTHONPATH=src python benchmarks/perf/bench_sim_throughput.py [--quick]
@@ -40,6 +46,14 @@ SCENARIOS = {
 }
 QUICK_FLOWS = 60
 SEED = 0
+#: Quick mode's history slot and the deterministic counts it gates exactly.
+QUICK_SCENARIO = "sim_r2c2_60flows_4x4x4_quick_counts"
+QUICK_COUNTS = (
+    "events_processed",
+    "total_bytes_on_wire",
+    "epochs_recomputed",
+    "epochs_skipped",
+)
 
 
 def _scenario_workload(n_flows: int, dims: tuple):
@@ -86,9 +100,10 @@ def run_scenario(n_flows: int, dims: tuple, reps: int) -> dict:
     for _ in range(reps):
         started = time.perf_counter()
         metrics = run_simulation(topo, trace, SimConfig(stack="r2c2", seed=SEED))
-        runs.append((time.perf_counter() - started, metrics.events_processed))
-    runs.sort()
-    median_s, events = runs[len(runs) // 2]
+        runs.append((time.perf_counter() - started, metrics))
+    runs.sort(key=lambda run: run[0])
+    median_s, metrics = runs[len(runs) // 2]
+    events = metrics.events_processed
     return {
         "median_s": round(median_s, 4),
         "events_processed": events,
@@ -96,7 +111,19 @@ def run_scenario(n_flows: int, dims: tuple, reps: int) -> dict:
         "n_flows": n_flows,
         "dims": "x".join(map(str, dims)),
         "seed": SEED,
+        "counts": {name: getattr(metrics, name) for name in QUICK_COUNTS},
     }
+
+
+def check_counts(doc: dict, counts: dict) -> str:
+    """Return an error string unless *counts* equal the last quick row."""
+    slot = doc["scenarios"].get(QUICK_SCENARIO)
+    if not slot or not slot["history"]:
+        return f"{QUICK_SCENARIO}: no recorded row to check against"
+    expected = {name: slot["history"][-1][name] for name in QUICK_COUNTS}
+    if counts != expected:
+        return f"{QUICK_SCENARIO}: counts {counts} != recorded {expected}"
+    return ""
 
 
 def main() -> int:
@@ -109,11 +136,25 @@ def main() -> int:
         if args.quick:
             n_flows, reps = QUICK_FLOWS, 1
         entry = run_scenario(n_flows, dims, reps)
+        counts = entry.pop("counts")
         report(name, entry)
-        # Quick mode simulates a smaller workload; its timings are not
-        # comparable to the recorded full-size history, so --check only
-        # gates full runs.
-        if args.check and not args.quick:
+        if args.quick:
+            # Quick timings are not comparable with the full-size history:
+            # gate (and record) the deterministic counts instead.
+            if args.check:
+                error = check_counts(doc, counts)
+                if error:
+                    failures.append(error)
+            if args.record:
+                record_entry(
+                    doc,
+                    QUICK_SCENARIO,
+                    f"deterministic counts of the --quick run: {n_flows} Poisson "
+                    f"pareto flows, r2c2 stack, {'x'.join(map(str, dims))} torus, "
+                    f"seed {SEED}",
+                    {**counts, "n_flows": n_flows, "rev": args.rev},
+                )
+        elif args.check:
             error = check_regression(doc, name, entry["median_s"])
             if error:
                 failures.append(error)
@@ -127,7 +168,7 @@ def main() -> int:
                 f"stack, {'x'.join(map(str, dims))} torus, seed {SEED}",
                 entry,
             )
-    if args.record and not args.quick:
+    if args.record:
         save_history(out, doc)
         print(f"recorded to {out}")
     for error in failures:

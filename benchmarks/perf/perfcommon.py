@@ -24,8 +24,10 @@ JSON schema::
 
 Conventions:
 
-* ``--quick`` shrinks repetitions/sizes for CI smoke runs; quick numbers
-  are never written to the history files.
+* ``--quick`` shrinks repetitions/sizes for CI smoke runs; quick timings
+  are never written to the history files.  A script may keep a separate
+  quick row of deterministic work counts (``bench_sim_throughput.py``),
+  which ``--quick --check`` compares exactly.
 * ``--check`` compares the fresh measurement against the last checked-in
   history entry and exits 1 when ``median_s`` regressed by more than
   ``REGRESSION_FACTOR`` (default 3x) — generous enough to absorb CI
