@@ -14,11 +14,11 @@ wall clock:
 ``--check`` fails when ``null`` exceeds ``off`` by more than
 ``OVERHEAD_BUDGET`` (2 %) — the contract that lets instrumentation stay
 threaded through hot paths unconditionally.  The ``off`` baseline already
-executes every *disabled* repro.obs hook (they are ``is not None`` guards
-compiled into the engine), so the gate covers the tracer's disabled path
-too.  Reps are interleaved (off/null/on/obs, ...) and compared on the
-*minimum*, which is the noise-robust estimator for "how fast can this
-code path go".
+executes every *disabled* observer site (with no observer the simulator
+holds no probe, and each site is one ``is not None`` test), so the gate
+covers the tracer's and recorder's disabled path too.  Reps are
+interleaved (off/null/on/obs, ...) and compared on the *minimum*, which
+is the noise-robust estimator for "how fast can this code path go".
 
 Run::
 

@@ -18,7 +18,7 @@ which is the quantity Figure 8 reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import CongestionControlError
@@ -120,7 +120,7 @@ class RateController:
         node: NodeId,
         provider: Optional[WeightProvider] = None,
         config: Optional[ControllerConfig] = None,
-        allocation_cache: Optional[Dict] = None,
+        allocation_cache: Optional[BoundedLru] = None,
         telemetry=None,
     ) -> None:
         self._topology = topology
@@ -150,8 +150,8 @@ class RateController:
             self._trace = None
         # Optional cross-controller memo: rack nodes with identical tables
         # compute identical allocations, so simulations running one
-        # controller per node share this dict (keyed by table contents) and
-        # pay for each distinct water-fill once.
+        # controller per node share this bounded LRU (keyed by table
+        # contents) and pay for each distinct water-fill once.
         self._allocation_cache = allocation_cache
         self._table = FlowTable()
         self._effective_cap = None  # headroom-adjusted capacities, lazy
@@ -365,10 +365,6 @@ class RateController:
                 headroom=0.0,
                 capacities=self._effective_capacities(),
             )
-            if not isinstance(self._allocation_cache, BoundedLru):
-                # Legacy plain-dict caches: bound by FIFO eviction.
-                if len(self._allocation_cache) >= 4096:
-                    self._allocation_cache.pop(next(iter(self._allocation_cache)))
             self._allocation_cache[key] = allocation
         return allocation
 

@@ -1,9 +1,10 @@
 """One shard of a sharded simulation: build, windowed execution, results.
 
 A :class:`ShardSim` is the serial engine restricted to one shard's nodes:
-the same build sequence as :func:`repro.sim.runner.run_simulation` (stacks,
-control plane, FIB, arrival scheduling — in the same order, so event-loop
-sequence numbers assign identically), except that
+the same build sequence as :func:`repro.sim.runner.run_simulation`
+(observers via :func:`~repro.sim.runner.build_observers`, stacks, control
+plane, FIB, arrival scheduling — in the same order, so event-loop sequence
+numbers assign identically), except that
 
 * only ports/stacks/controllers of *owned* nodes exist,
 * cut ports hand finished packets to the boundary outbox instead of
@@ -21,6 +22,7 @@ and the multiprocessing executor drives the identical object over a pipe
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -28,7 +30,7 @@ from ..sim.engine import EventLoop
 from ..sim.flows import SimFlow
 from ..sim.metrics import SimMetrics
 from ..sim.network import link_prio
-from ..sim.runner import SimConfig, _build_r2c2, _build_tcp
+from ..sim.runner import SimConfig, build_observers, build_stacks
 from ..topology.base import Topology
 from ..workloads.generator import FlowArrival
 from .merge import receiver_state, sender_state
@@ -82,30 +84,11 @@ class ShardSim:
             # (see telemetry.trace.MERGEABLE_TRACKS), so event-loop batch
             # spans (windowed rounds, an executor artifact) and link-probe
             # counters (per-shard partial aggregates) stay out.
-            from ..telemetry import Telemetry, TelemetryConfig
+            from ..telemetry import Telemetry
 
             self.telemetry = Telemetry(
-                TelemetryConfig(
-                    metrics=telemetry_config.metrics,
-                    trace=telemetry_config.trace,
-                    link_probe_interval_ns=telemetry_config.link_probe_interval_ns,
-                    per_link_series=False,
-                    packet_sample_every=telemetry_config.packet_sample_every,
-                    trace_eventloop=False,
-                    max_trace_events=telemetry_config.max_trace_events,
-                )
+                replace(telemetry_config, per_link_series=False, trace_eventloop=False)
             )
-
-        # Causal critical-path tracing (repro.obs): each shard owns a
-        # session; sender-side waits accumulate in the source node's shard
-        # and travel on the packet as injection-time snapshots, completion
-        # records freeze in the destination node's shard, and the
-        # coordinator unions the (disjoint) completion maps.
-        self.obs = None
-        if config.obs:
-            from ..obs import ObsSession
-
-            self.obs = ObsSession()
 
         # Per-round synchronization accounting (the distsim sync profiler):
         # wall-clock blocked/executing split plus boundary-message traffic.
@@ -120,64 +103,31 @@ class ShardSim:
         }
         self._last_round_exit: Optional[float] = None
 
-        self.auditor = None
-        if config.audit:
-            # Same wiring as the serial runner: the auditor observes this
-            # shard's event loop, network slice and stacks.  The transit
-            # (propagated == arrived) check is deferred to the coordinator,
-            # which sums the per-shard counters (a cut port's packets arrive
-            # in *another* shard's auditor); likewise the final per-flow
-            # audit runs once over the merged flow states.
-            from ..validation import InvariantAuditor
+        # The serial runner's observers, on this shard's slice.  Causal
+        # tracing: sender waits travel on the packet; completion records
+        # freeze in the destination's shard and the coordinator unions them.
+        # Auditing: the transit (propagated == arrived) and final per-flow
+        # checks run in the coordinator over summed / merged state (a cut
+        # port's packets arrive in *another* shard's auditor).
+        probe, self.auditor, self.obs, _ = build_observers(
+            config, self.loop, self.telemetry
+        )
 
-            self.auditor = InvariantAuditor(
-                strict=config.audit_strict, telemetry=self.telemetry
-            )
-            self.auditor.attach_loop(self.loop)
-
-        owned_sorted = sorted(self.owned)
-        if config.stack == "r2c2":
-            self.network, self.control = _build_r2c2(
-                topology,
-                self.loop,
-                self.flows,
-                self.metrics,
-                config,
-                provider=None,
-                auditor=self.auditor,
-                telemetry=self.telemetry,
-                owned_nodes=owned_sorted,
-                boundary=self._boundary,
-                # Every shard builds an identical FIB; only shard 0 records
-                # its (build-time) instruments so the merged registry counts
-                # them once, like a serial run.
-                fib_telemetry=(shard_id == 0),
-                obs=self.obs,
-            )
-        elif config.stack == "tcp":
-            self.network = _build_tcp(
-                topology,
-                self.loop,
-                self.flows,
-                self.metrics,
-                config,
-                auditor=self.auditor,
-                owned_nodes=owned_sorted,
-                boundary=self._boundary,
-                obs=self.obs,
-            )
-            self.control = None
-        else:
-            raise SimulationError(
-                f"stack {config.stack!r} does not support sharded execution"
-            )
-        if self.auditor is not None:
-            for stack in self.network.stack_at:
-                if stack is not None:
-                    stack.auditor = self.auditor
-            if self.control is not None:
-                self.control.auditor = self.auditor
-
+        self.network, self.control = build_stacks(
+            topology,
+            self.loop,
+            self.flows,
+            self.metrics,
+            config,
+            probe,
+            self.telemetry,
+            owned_nodes=sorted(self.owned),
+            boundary=self._boundary,
+            # Every shard builds an identical FIB; only shard 0 records its
+            # (build-time) instruments so the merged registry counts them
+            # once, like a serial run.
+            fib_telemetry=(shard_id == 0),
+        )
         self.probes = None
         if self.telemetry is not None and self.telemetry.metrics:
             # trace=False: probe counters are per-shard partial aggregates

@@ -15,18 +15,18 @@ Three pillars (see DESIGN.md §6f):
   of recent structured events, dumped as JSON on crash / oracle violation
   / audit failure and attached to fuzz corpus entries.
 
-All three honor the telemetry layer's disabled-overhead discipline: off by
-default, ``is not None`` guards on every hot path.
+Causal tracing and the flight recorder are off by default and observe the
+simulator as subscribers of its one probe (:mod:`repro.sim.probe`).
 """
 
 from .causal import COMPONENT_NAMES, ObsSession, PacketObs, check_decomposition
-from .flight import FLIGHT_SCHEMA, FlightBatchObserver, FlightRecorder
+from .flight import FLIGHT_SCHEMA, FlightProbe, FlightRecorder
 from .report import explain_flow_lines, explain_report
 
 __all__ = [
     "COMPONENT_NAMES",
     "FLIGHT_SCHEMA",
-    "FlightBatchObserver",
+    "FlightProbe",
     "FlightRecorder",
     "ObsSession",
     "PacketObs",

@@ -33,16 +33,17 @@ decomposition of a sharded run is byte-identical to the serial run's:
 cumulative waits travel *on* the packet as injection-time snapshots, and
 completion-side assembly happens wherever the destination node lives.
 
-Overhead discipline: nothing here touches a default-path simulation.  The
-session is only constructed when ``SimConfig(obs=True)``; every hot-path
-hook in the network and stacks is an ``is not None`` attribute test
-(``packet.obs``, ``stack._obs``), the same pattern the invariant auditor
-and null-sink telemetry use to meet the ≤2% disabled-overhead gate.
+Overhead discipline: nothing here touches a default-path simulation.
+:class:`ObsSession` is a :class:`~repro.sim.probe.Probe` subscribed only
+when ``SimConfig(obs=True)``, and its port and network handlers do all the
+``PacketObs`` stamping; without observers the run holds no probe at all.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from ..sim.probe import Probe
 
 __all__ = ["PacketObs", "ObsSession", "COMPONENT_NAMES"]
 
@@ -115,7 +116,7 @@ class _SenderObs:
         self.stall_since: Optional[int] = None
 
 
-class ObsSession:
+class ObsSession(Probe):
     """One simulation's causal-tracing state (sender + completion sides).
 
     In a sharded run each shard owns a session; sender-side state lives in
@@ -133,7 +134,36 @@ class ObsSession:
         self._hop_queue: Dict[int, Dict[Tuple[int, int], List[int]]] = {}
 
     # ------------------------------------------------------------------
-    # Sender side (called from the host stacks)
+    # Packet residence (port and network events): stamp PacketObs
+    # ------------------------------------------------------------------
+    def on_enqueue(self, port, packet, now_ns) -> None:
+        obs = packet.obs
+        if obs is not None:
+            obs.enq_ns = now_ns
+
+    def on_transmit_start(self, port, packet, duration_ns, now_ns) -> None:
+        obs = packet.obs
+        if obs is not None:
+            wait = now_ns - obs.enq_ns
+            obs.queue_ns += wait
+            obs.ser_ns += duration_ns
+            obs.hops.append((port.src, port.dst, wait))
+
+    def on_propagate(self, port, packet, now_ns) -> None:
+        obs = packet.obs
+        if obs is not None:
+            obs.last_finish_ns = now_ns
+
+    def on_arrive(self, node, packet, now_ns) -> None:
+        obs = packet.obs
+        if obs is not None and obs.last_finish_ns is not None:
+            # Receiver-side propagation accounting: exact for cut ports
+            # too, whose local latency is zero (the true latency is baked
+            # into the boundary arrival time).
+            obs.prop_ns += now_ns - obs.last_finish_ns
+
+    # ------------------------------------------------------------------
+    # Sender side (host-stack events)
     # ------------------------------------------------------------------
     def _sender(self, flow_id: int) -> _SenderObs:
         sender = self._senders.get(flow_id)
@@ -168,10 +198,10 @@ class ObsSession:
         packet.obs = PacketObs(now_ns, sender.ctl_ns, sender.host_ns, sender.rto_ns)
 
     # ------------------------------------------------------------------
-    # Completion side (called from the destination stack)
+    # Completion side (destination-stack events)
     # ------------------------------------------------------------------
     def on_delivered(self, flow, packet, now_ns: int) -> None:
-        """A data packet with an obs record reached its destination stack.
+        """A data packet reached its destination stack.
 
         Aggregates per-hop queueing for the flow and, when this delivery
         is the one that set ``flow.completed_ns``, freezes the flow's

@@ -11,10 +11,9 @@ Determinism: every recorded event carries **simulated** time only.  Two
 runs of the same seeds produce byte-identical dumps, which keeps corpus
 entries content-stable and diffs reviewable.
 
-Overhead discipline: recording is opt-in (``SimConfig(flight=True)``) and
-every producer guards with an ``is not None`` attribute test, so the
-disabled path adds nothing beyond the guards already covered by the
-telemetry overhead gate.
+Overhead discipline: recording is opt-in (``SimConfig(flight=True)``);
+the simulator feeds the recorder through :class:`FlightProbe`, one
+subscriber of the run's :class:`~repro.sim.probe.Probe`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional
 
-__all__ = ["FlightRecorder", "FlightBatchObserver", "FLIGHT_SCHEMA"]
+from ..sim.probe import Probe
+
+__all__ = ["FlightRecorder", "FlightProbe", "FLIGHT_SCHEMA"]
 
 #: Dump document schema version (bump on layout changes).
 FLIGHT_SCHEMA = 1
@@ -75,19 +76,52 @@ class FlightRecorder:
         return sum(len(ring) for ring in self._rings.values())
 
 
-class FlightBatchObserver:
-    """Event-loop batch observer feeding the ``engine`` ring.
-
-    Attached via :meth:`repro.sim.engine.EventLoop.attach_batch_observer`
-    (which tees with any telemetry span hook already installed).
-    """
-
-    __slots__ = ("_flight",)
+class FlightProbe(Probe):
+    """Feeds a recorder from the simulator: its ``network``, ``stack`` and
+    ``controller`` rings as a probe subscriber, and its ``engine`` ring as
+    an event-loop batch observer (:meth:`EventLoop.attach_batch_observer`,
+    which tees with any telemetry span hook already installed)."""
 
     def __init__(self, flight: FlightRecorder) -> None:
-        self._flight = flight
+        self._record = flight.record
 
     def on_batch(self, start_ns: int, end_ns: int, processed: int) -> None:
-        self._flight.record(
-            "engine", "batch", end_ns, start_ns=start_ns, events=processed
+        self._record("engine", "batch", end_ns, start_ns=start_ns, events=processed)
+
+    def on_drop(self, port, packet, now_ns) -> None:
+        self._record(
+            "network", "queue_drop", now_ns, src=port.src, dst=port.dst,
+            flow=packet.flow_id, packet_kind=packet.kind, seq=packet.seq,
         )
+
+    def on_wire_loss(self, port, packet, now_ns) -> None:
+        self._record(
+            "network", "wire_loss", now_ns, src=port.src, dst=port.dst,
+            flow=packet.flow_id, seq=packet.seq,
+        )
+
+    def on_flow_start(self, flow, now_ns) -> None:
+        self._record(
+            "stack", "flow_start", now_ns, flow=flow.flow_id, src=flow.src,
+            dst=flow.dst, size=flow.size_bytes,
+        )
+
+    def on_flow_complete(self, flow, node, now_ns) -> None:
+        self._record("stack", "flow_complete", now_ns, flow=flow.flow_id, node=node)
+
+    def on_rto_fired(self, flow_id, cum_acked, now_ns) -> None:
+        self._record("stack", "tcp_rto", now_ns, flow=flow_id, cum_acked=cum_acked)
+
+    def on_broadcast_retransmit(self, node, flow_id, dropped_at, seq, now_ns) -> None:
+        self._record(
+            "stack", "broadcast_retransmit", now_ns, flow=flow_id,
+            dropped_at=dropped_at, seq=seq,
+        )
+
+    def on_epoch(self, allocations, per_node, now_ns) -> None:
+        if per_node:
+            self._record("controller", "epoch", now_ns, nodes=len(allocations))
+        else:
+            (allocation,) = allocations
+            flows = 0 if allocation is None else len(allocation.rates_bps)
+            self._record("controller", "epoch", now_ns, flows=flows)

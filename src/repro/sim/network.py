@@ -22,6 +22,7 @@ from ..topology.base import Topology
 from ..types import NodeId, transmission_time_ns
 from .engine import EventLoop
 from .packets import KIND_BROADCAST, SimPacket
+from .probe import HOP_HOOKS, Probe, listens
 
 
 def link_prio(src: NodeId, dst: NodeId, n_nodes: int) -> int:
@@ -144,7 +145,11 @@ class PerFlowRoundRobin:
 
 
 class OutputPort:
-    """One directed link's queue and transmitter at its sending node."""
+    """One directed link's queue and transmitter at its sending node.
+
+    It reports enqueue, drop, transmit start, wire loss and propagate to its
+    ``probe`` (:mod:`repro.sim.probe`), if it has one.
+    """
 
     def __init__(
         self,
@@ -158,9 +163,8 @@ class OutputPort:
         on_drop: Optional[Callable[[SimPacket], None]] = None,
         loss_rate: float = 0.0,
         loss_rng: Optional[random.Random] = None,
-        auditor=None,
         prio: int = 0,
-        flight=None,
+        probe: Optional[Probe] = None,
     ) -> None:
         self._loop = loop
         self.src = src
@@ -176,11 +180,7 @@ class OutputPort:
         self.queue = queue
         self._deliver = deliver
         self._on_drop = on_drop
-        #: optional invariant auditor (repro.validation); None disables all
-        #: audit hooks at the cost of one attribute test per packet event.
-        self._auditor = auditor
-        #: optional flight recorder (repro.obs); same None discipline.
-        self._flight = flight
+        self._probe = probe
         #: probability a transmitted data/ACK packet is corrupted on the
         #: wire (fault injection for reliability tests); broadcasts are
         #: exempt so the control plane stays testable independently.
@@ -198,25 +198,24 @@ class OutputPort:
     def send(self, packet: SimPacket) -> bool:
         """Queue a packet for transmission; returns False on drop."""
         if not self.queue.enqueue(packet):
-            self.drops += 1
-            if self._auditor is not None:
-                self._auditor.on_port_send(self, packet, accepted=False)
-            if self._flight is not None:
-                self._record_drop(packet)
-            if self._on_drop is not None:
-                self._on_drop(packet)
-            return False
-        if self._auditor is not None:
-            self._auditor.on_port_send(self, packet, accepted=True)
-        obs = packet.obs
-        if obs is not None:
-            obs.enq_ns = self._loop.now
+            return self._drop(packet)
+        if self._probe is not None:
+            self._probe.on_enqueue(self, packet, self._loop.now)
         occupancy = self.queue.occupancy_bytes
         if occupancy > self.max_occupancy_bytes:
             self.max_occupancy_bytes = occupancy
         if not self._busy:
             self._start_next()
         return True
+
+    def _drop(self, packet: SimPacket) -> bool:
+        """The queue rejected *packet*: count, report and notify the drop."""
+        self.drops += 1
+        if self._probe is not None:
+            self._probe.on_drop(self, packet, self._loop.now)
+        if self._on_drop is not None:
+            self._on_drop(packet)
+        return False
 
     def send_batched(self, packet: SimPacket, pending: list) -> bool:
         """Like :meth:`send`, but hand the finish event to the caller.
@@ -227,16 +226,9 @@ class OutputPort:
         broadcast fan-out into one event-loop entry.
         """
         if not self.queue.enqueue(packet):
-            self.drops += 1
-            if self._auditor is not None:
-                self._auditor.on_port_send(self, packet, accepted=False)
-            if self._flight is not None:
-                self._record_drop(packet)
-            if self._on_drop is not None:
-                self._on_drop(packet)
-            return False
-        if self._auditor is not None:
-            self._auditor.on_port_send(self, packet, accepted=True)
+            return self._drop(packet)
+        if self._probe is not None:
+            self._probe.on_enqueue(self, packet, self._loop.now)
         occupancy = self.queue.occupancy_bytes
         if occupancy > self.max_occupancy_bytes:
             self.max_occupancy_bytes = occupancy
@@ -262,14 +254,8 @@ class OutputPort:
         self.busy_ns += duration
         self.bytes_sent += packet.size_bytes
         self.packets_sent += 1
-        if self._auditor is not None:
-            self._auditor.on_transmit_start(self, packet, duration)
-        obs = packet.obs
-        if obs is not None:
-            wait = self._loop.now - obs.enq_ns
-            obs.queue_ns += wait
-            obs.ser_ns += duration
-            obs.hops.append((self.src, self.dst, wait))
+        if self._probe is not None:
+            self._probe.on_transmit_start(self, packet, duration, self._loop.now)
         return duration, packet
 
     def _start_next(self) -> None:
@@ -288,46 +274,16 @@ class OutputPort:
             # Corrupted on the wire: it consumed transmission time but is
             # discarded by the receiver's checksum.
             self.wire_losses += 1
-            if self._auditor is not None:
-                self._auditor.on_wire_loss(self, packet)
-            if self._flight is not None:
-                self._flight.record(
-                    "network",
-                    "wire_loss",
-                    self._loop.now,
-                    src=self.src,
-                    dst=self.dst,
-                    flow=packet.flow_id,
-                    seq=packet.seq,
-                )
+            if self._probe is not None:
+                self._probe.on_wire_loss(self, packet, self._loop.now)
         else:
             # Propagation happens in parallel with the next serialization.
-            if self._auditor is not None:
-                self._auditor.on_propagate(self, packet)
-            obs = packet.obs
-            if obs is not None:
-                obs.last_finish_ns = self._loop.now
+            if self._probe is not None:
+                self._probe.on_propagate(self, packet, self._loop.now)
             self._loop.schedule(
                 self._latency_ns, lambda p=packet: self._deliver(p), self.prio
             )
         self._start_next()
-
-    def kick(self) -> None:
-        """Restart transmission after a pause/resume changed the queue."""
-        if not self._busy:
-            self._start_next()
-
-    def _record_drop(self, packet: SimPacket) -> None:
-        self._flight.record(
-            "network",
-            "queue_drop",
-            self._loop.now,
-            src=self.src,
-            dst=self.dst,
-            flow=packet.flow_id,
-            kind=packet.kind,
-            seq=packet.seq,
-        )
 
     @property
     def busy(self) -> bool:
@@ -341,7 +297,12 @@ class OutputPort:
 
 
 class RackNetwork:
-    """All ports of the rack plus the forwarding logic between them."""
+    """All ports of the rack plus the forwarding logic between them.
+
+    One optional ``probe`` (:mod:`repro.sim.probe`) observes the whole
+    fabric: every port, the forwarding logic, and the host stacks and
+    control planes built on this network report to it.
+    """
 
     def __init__(
         self,
@@ -352,10 +313,9 @@ class RackNetwork:
         on_drop: Optional[Callable[[NodeId, SimPacket], None]] = None,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
-        auditor=None,
         owned_nodes=None,
         boundary: Optional[Callable[[int, NodeId, SimPacket], None]] = None,
-        flight=None,
+        probe: Optional[Probe] = None,
     ) -> None:
         """Build the fabric (or, for sharded runs, one shard's slice of it).
 
@@ -378,8 +338,13 @@ class RackNetwork:
         self._topology = topology
         self._fib = fib
         self._on_drop = on_drop
-        self._auditor = auditor
-        self._flight = flight
+        #: the run's observer (``None`` when nothing observes); stacks and
+        #: control planes built on this network report to it too.
+        self.probe = probe
+        # Per-hop sites (ports, arrivals, local deliveries) skip a probe
+        # that observes none of their events.
+        hop_probe = probe if listens(probe, HOP_HOOKS) else None
+        self._hop_probe = hop_probe
         owned = None if owned_nodes is None else set(owned_nodes)
         if owned is not None and boundary is None:
             raise SimulationError("owned_nodes requires a boundary callback")
@@ -420,12 +385,9 @@ class RackNetwork:
                 on_drop=self._make_drop_handler(link.src),
                 loss_rate=loss_rate,
                 loss_rng=loss_rng,
-                auditor=auditor,
                 prio=link_prio(link.src, link.dst, topology.n_nodes),
-                flight=flight,
+                probe=hop_probe,
             )
-        if auditor is not None:
-            auditor.attach_network(self)
 
     @property
     def topology(self) -> Topology:
@@ -481,18 +443,12 @@ class RackNetwork:
 
     def arrived(self, node: NodeId, packet: SimPacket) -> None:
         """A packet finished propagating to *node*."""
-        if self._auditor is not None:
-            self._auditor.on_arrive(node, packet)
+        if self._hop_probe is not None:
+            self._hop_probe.on_arrive(node, packet, self._loop.now)
         if packet.kind == KIND_BROADCAST:
             self._deliver_local(node, packet)
             self._forward_broadcast(node, packet, is_source=False)
             return
-        obs = packet.obs
-        if obs is not None and obs.last_finish_ns is not None:
-            # Receiver-side propagation accounting: exact for cut ports
-            # too, whose local latency is zero (the true latency is baked
-            # into the boundary arrival time).
-            obs.prop_ns += self._loop.now - obs.last_finish_ns
         packet.hop += 1
         if packet.at_destination():
             self._deliver_local(node, packet)
@@ -567,8 +523,8 @@ class RackNetwork:
         stack = self.stack_at[node]
         if stack is None:
             raise SimulationError(f"no host stack installed at node {node}")
-        if self._auditor is not None:
-            self._auditor.on_local_deliver(node, packet)
+        if self._hop_probe is not None:
+            self._hop_probe.on_local_deliver(node, packet, self._loop.now)
         stack.deliver(packet)
 
     # ------------------------------------------------------------------

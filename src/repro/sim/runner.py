@@ -8,8 +8,8 @@ evaluation compares — ``r2c2``, ``tcp`` or ``pfq`` — and returns a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from ..broadcast.fib import BroadcastFib
 from ..congestion.controller import ControllerConfig, RateController
@@ -25,6 +25,7 @@ from .flows import SimFlow
 from .metrics import SimMetrics
 from .network import FifoQueue, RackNetwork
 from .packets import data_packet_size
+from .probe import tee
 from .stacks.pfq import BackpressureQueue, PfqCoordinator, PfqStack
 from .stacks.r2c2 import PerNodeControlPlane, R2C2Stack, SharedControlPlane
 from .stacks.r2c2_reliable import R2C2ReliableStack
@@ -77,23 +78,22 @@ class SimConfig:
     seed_parts: tuple = ()
     horizon_ns: Optional[int] = None
     progress_chunk_ns: int = msec(1)
-    #: Attach a :class:`~repro.validation.InvariantAuditor` to the run.
-    #: Off by default: the instrumented code then pays only a per-hook
-    #: ``is not None`` branch.
+    #: Subscribe a :class:`~repro.validation.InvariantAuditor` to the run's
+    #: probe (:func:`build_observers`).  With every observer off the run
+    #: holds no probe: each instrumented site pays one ``is not None`` test.
     audit: bool = False
     #: With auditing on, raise :class:`~repro.errors.InvariantViolation`
     #: at the point of detection; otherwise collect violations into
     #: ``metrics.audit.violations``.
     audit_strict: bool = True
-    #: Causal critical-path tracing (:mod:`repro.obs`): decompose every
-    #: completed flow's FCT into its causal components
-    #: (``metrics.flow_obs``).  Off by default — the instrumented hot
-    #: paths then pay only an ``is not None`` branch.
+    #: Causal critical-path tracing (an :class:`~repro.obs.ObsSession`
+    #: probe): decompose every completed flow's FCT into its causal
+    #: components (``metrics.flow_obs``).
     obs: bool = False
-    #: Crash flight recorder (:mod:`repro.obs.flight`): keep bounded rings
-    #: of recent structured events per subsystem.  On a crash the dump is
-    #: attached to the exception as ``exc.repro_flight``; on success it
-    #: lands in ``metrics.flight_dump``.
+    #: Crash flight recorder (a :class:`~repro.obs.flight.FlightProbe`):
+    #: keep bounded rings of recent structured events per subsystem.  On a
+    #: crash the dump is attached to the exception as ``exc.repro_flight``;
+    #: on success it lands in ``metrics.flight_dump``.
     flight: bool = False
 
     def __post_init__(self) -> None:
@@ -111,6 +111,45 @@ class SimConfig:
         """The seed the run actually uses (``seed`` routed through
         :func:`repro.core.derive_seed` with ``seed_parts``)."""
         return derive_seed(self.seed, *self.seed_parts)
+
+
+def build_observers(config: SimConfig, loop: EventLoop, telemetry=None):
+    """Build the observers *config* and *telemetry* ask for, tee them into
+    one probe, and attach their event-loop hooks to *loop*.
+
+    Returns ``(probe, auditor, obs_session, flight_recorder)``, each
+    ``None`` when off.  Shared by :func:`run_simulation` and
+    :class:`repro.distsim.ShardSim`, so a serial run and every shard
+    observe through the same wiring.
+    """
+    auditor = obs = flight = flight_probe = telemetry_probe = None
+    if config.obs:
+        from ..obs import ObsSession
+
+        obs = ObsSession()
+    if config.flight:
+        from ..obs import FlightProbe, FlightRecorder
+
+        flight = FlightRecorder()
+        flight_probe = FlightProbe(flight)
+        loop.attach_batch_observer(flight_probe)
+    if config.audit:
+        # Imported lazily: repro.validation imports this module for its
+        # differential oracles, so a top-level import would be circular.
+        from ..validation import InvariantAuditor
+
+        auditor = InvariantAuditor(strict=config.audit_strict, telemetry=telemetry)
+        auditor.attach_loop(loop)
+        auditor.flight = flight
+    if telemetry is not None and telemetry.enabled:
+        from ..telemetry import EventLoopTracer
+        from ..telemetry.subscriber import TelemetryProbe
+
+        telemetry_probe = TelemetryProbe(telemetry, r2c2=(config.stack == "r2c2"))
+        if telemetry.trace and telemetry.config.trace_eventloop:
+            loop.attach_batch_observer(EventLoopTracer(telemetry.trace))
+    probe = tee([auditor, flight_probe, obs, telemetry_probe])
+    return probe, auditor, obs, flight
 
 
 def run_simulation(
@@ -147,67 +186,15 @@ def run_simulation(
     if len(flows) != len(trace):
         raise SimulationError("duplicate flow ids in trace")
 
-    obs_session = None
-    flight = None
-    if config.obs or config.flight:
-        from ..obs import FlightBatchObserver, FlightRecorder, ObsSession
-
-        if config.obs:
-            obs_session = ObsSession()
-        if config.flight:
-            flight = FlightRecorder()
-            loop.attach_batch_observer(FlightBatchObserver(flight))
-
-    auditor = None
-    if config.audit:
-        # Imported lazily: repro.validation imports this module for its
-        # differential oracles, so a top-level import would be circular.
-        from ..validation import InvariantAuditor
-
-        auditor = InvariantAuditor(strict=config.audit_strict, telemetry=telemetry)
-        auditor.attach_loop(loop)
-        auditor.flight = flight
-
+    probe, auditor, obs, flight = build_observers(config, loop, telemetry)
     probes = None
-    if telemetry is not None and telemetry.trace and telemetry.config.trace_eventloop:
-        from ..telemetry import EventLoopTracer
-
-        loop.attach_batch_observer(EventLoopTracer(telemetry.trace))
-
     started_wall = time.perf_counter()
     try:
-        if config.stack == "r2c2":
-            network, control = _build_r2c2(
-                topology,
-                loop,
-                flows,
-                metrics,
-                config,
-                provider,
-                auditor,
-                telemetry,
-                obs=obs_session,
-                flight=flight,
-            )
-        elif config.stack == "tcp":
-            network = _build_tcp(
-                topology, loop, flows, metrics, config, auditor,
-                obs=obs_session, flight=flight,
-            )
-            control = None
-        else:
-            network = _build_pfq(topology, loop, flows, metrics, config, auditor)
-            control = None
+        network, control = build_stacks(
+            topology, loop, flows, metrics, config, probe, telemetry, provider
+        )
         if telemetry is not None and telemetry.enabled:
             probes = telemetry.link_probes(network)
-        if auditor is not None:
-            for stack in network.stack_at:
-                if stack is not None:
-                    stack.auditor = auditor
-            if control is not None:
-                control.auditor = auditor
-        if flight is not None and control is not None:
-            control.flight = flight
 
         for arrival in trace:
             flow = flows[arrival.flow_id]
@@ -259,12 +246,11 @@ def run_simulation(
         metrics.audit = auditor.final_check(
             flows=flows.values(), drained=(loop.pending() == 0)
         )
-    if telemetry is not None and telemetry.enabled:
-        if probes is not None:
-            probes.sample(loop.now)  # final sample, even for tiny runs
+    if probes is not None:  # telemetry is on
+        probes.sample(loop.now)  # final sample, even for tiny runs
         _finalize_telemetry(telemetry, metrics)
-    if obs_session is not None:
-        metrics.flow_obs = obs_session.results()
+    if obs is not None:
+        metrics.flow_obs = obs.results()
     if flight is not None:
         metrics.flight_dump = flight.dump()
     return metrics
@@ -306,28 +292,51 @@ def _default_horizon(topology: Topology, trace: Sequence[FlowArrival]) -> int:
     return last_arrival + max(drain_ns, msec(50))
 
 
-def _build_r2c2(
+def build_stacks(
     topology,
     loop,
     flows,
     metrics,
     config,
-    provider,
-    auditor=None,
+    probe=None,
     telemetry=None,
+    provider=None,
     owned_nodes=None,
     boundary=None,
     fib_telemetry=True,
-    obs=None,
-    flight=None,
 ):
-    """Wire up the R2C2 stack; ``owned_nodes``/``boundary`` restrict the
-    build to one shard's slice of the fabric (see :mod:`repro.distsim`).
+    """Build the fabric and *config*'s host stacks: ``(network, control)``,
+    with ``control`` ``None`` for the tcp and pfq stacks.
 
-    Every shard builds an identical FIB, so ``fib_telemetry=False`` lets all
-    shards but one skip the (build-time) FIB instruments — the merged
-    registry then carries them exactly once, like a serial run.
+    Shared by :func:`run_simulation` and :class:`repro.distsim.ShardSim`:
+    ``owned_nodes``/``boundary`` restrict the build to one shard's slice of
+    the fabric.  Every shard builds an identical FIB, so
+    ``fib_telemetry=False`` lets all shards but one skip the (build-time)
+    FIB instruments — the merged registry then carries them exactly once,
+    like a serial run.
     """
+    if config.stack == "r2c2":
+        return _build_r2c2(
+            topology, loop, flows, metrics, config, provider, probe, telemetry,
+            owned_nodes, boundary, fib_telemetry,
+        )
+    if config.stack == "tcp":
+        network = _build_tcp(
+            topology, loop, flows, metrics, config, probe, owned_nodes, boundary
+        )
+        return network, None
+    if owned_nodes is not None:
+        raise SimulationError(
+            f"stack {config.stack!r} does not support sharded execution"
+        )
+    return _build_pfq(topology, loop, flows, metrics, config, probe), None
+
+
+def _build_r2c2(
+    topology, loop, flows, metrics, config, provider, probe, telemetry,
+    owned_nodes, boundary, fib_telemetry,
+):
+    """Wire up the R2C2 stack (see :func:`build_stacks`)."""
     from ..routing.weights import deterministic_minimal_path
     from .packets import DROP_NOTE_SIZE_BYTES, KIND_BROADCAST, KIND_DROP_NOTE, SimPacket
 
@@ -371,10 +380,9 @@ def _build_r2c2(
         on_drop=on_drop,
         loss_rate=config.loss_rate,
         loss_seed=seed,
-        auditor=auditor,
         owned_nodes=owned_nodes,
         boundary=boundary,
-        flight=flight,
+        probe=probe,
     )
     network_holder["net"] = network
     provider = provider if provider is not None else WeightProvider(topology)
@@ -407,9 +415,6 @@ def _build_r2c2(
         seed=seed,
         n_trees=config.n_broadcast_trees,
         metrics=metrics,
-        telemetry=telemetry,
-        obs=obs,
-        flight=flight,
     )
     nodes = topology.nodes() if owned_nodes is None else sorted(owned_nodes)
     for node in nodes:
@@ -425,10 +430,7 @@ def _build_r2c2(
     return network, control
 
 
-def _build_tcp(
-    topology, loop, flows, metrics, config, auditor=None, owned_nodes=None,
-    boundary=None, obs=None, flight=None,
-):
+def _build_tcp(topology, loop, flows, metrics, config, probe, owned_nodes, boundary):
     limit = config.tcp_queue_limit_bytes
     network = RackNetwork(
         loop,
@@ -436,10 +438,9 @@ def _build_tcp(
         queue_factory=lambda: FifoQueue(limit_bytes=limit),
         loss_rate=config.loss_rate,
         loss_seed=config.effective_seed(),
-        auditor=auditor,
         owned_nodes=owned_nodes,
         boundary=boundary,
-        flight=flight,
+        probe=probe,
     )
     ecmp = EcmpSinglePath(topology)
     nodes = topology.nodes() if owned_nodes is None else sorted(owned_nodes)
@@ -452,13 +453,11 @@ def _build_tcp(
             ecmp,
             mtu_payload=config.mtu_payload,
             metrics=metrics,
-            obs=obs,
-            flight=flight,
         )
     return network
 
 
-def _build_pfq(topology, loop, flows, metrics, config, auditor=None):
+def _build_pfq(topology, loop, flows, metrics, config, probe):
     coordinator = PfqCoordinator()
     packet_bytes = data_packet_size(config.mtu_payload)
     high = config.pfq_high_packets * packet_bytes
@@ -467,7 +466,7 @@ def _build_pfq(topology, loop, flows, metrics, config, auditor=None):
         loop,
         topology,
         queue_factory=lambda: BackpressureQueue(coordinator, high, low),
-        auditor=auditor,
+        probe=probe,
     )
     from ..routing.base import make_protocol
 

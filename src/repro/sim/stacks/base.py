@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
 
 from ...types import NodeId
 from ..engine import EventLoop
@@ -25,9 +24,9 @@ class HostStack(ABC):
         self.node = node
         self.loop = loop
         self.network = network
-        #: optional invariant auditor (repro.validation); installed by the
-        #: runner when auditing is enabled, None otherwise.
-        self.auditor = None
+        #: the run's observer (repro.sim.probe), shared with the network;
+        #: None when nothing observes.
+        self._probe = network.probe
 
     @abstractmethod
     def start_flow(self, flow: SimFlow) -> None:
@@ -37,10 +36,16 @@ class HostStack(ABC):
     def deliver(self, packet: SimPacket) -> None:
         """Handle a packet addressed to (or broadcast reaching) this node."""
 
-    def _audit_flow(self, flow: SimFlow) -> None:
-        """Report receiver-side flow progress to the auditor, if attached."""
-        if self.auditor is not None:
-            self.auditor.on_flow_progress(flow, self.loop.now)
+    def _delivered(self, flow: SimFlow, packet: SimPacket, complete: bool) -> None:
+        """Receiver bookkeeping every stack shares: declare *flow* complete
+        (once) when *complete*, and report the data delivery to the probe."""
+        if complete and flow.completed_ns is None:
+            flow.completed_ns = self.loop.now
+            if self._probe is not None:
+                self._probe.on_flow_complete(flow, self.node, flow.completed_ns)
+        if self._probe is not None:
+            self._probe.on_delivered(flow, packet, self.loop.now)
+            self._probe.on_flow_progress(flow, self.loop.now)
 
     def on_epoch(self) -> None:
         """Hook invoked after each control-plane recomputation (optional)."""

@@ -154,6 +154,8 @@ class PfqStack(HostStack):
             pause=lambda fid=flow.flow_id: self._paused.add(fid),
             resume=lambda fid=flow.flow_id: self._on_resume(fid),
         )
+        if self._probe is not None:
+            self._probe.on_flow_start(flow, self.loop.now)
         self._emit(flow)
 
     def _on_resume(self, flow_id: int) -> None:
@@ -184,6 +186,8 @@ class PfqStack(HostStack):
         )
         flow.next_seq += 1
         flow.bytes_sent += payload
+        if self._probe is not None:
+            self._probe.on_inject(flow, packet, self.loop.now)
         self.network.inject(self.node, packet)
         if flow.sender_done:
             flow.sender_done_ns = self.loop.now
@@ -209,6 +213,4 @@ class PfqStack(HostStack):
             self._metrics.packet_latency.record(self.loop.now - packet.sent_ns)
         flow.record_in_order(packet.seq)
         flow.bytes_received += packet.payload
-        if flow.bytes_received >= flow.size_bytes and flow.completed_ns is None:
-            flow.completed_ns = self.loop.now
-        self._audit_flow(flow)
+        self._delivered(flow, packet, flow.bytes_received >= flow.size_bytes)

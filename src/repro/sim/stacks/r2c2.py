@@ -27,20 +27,17 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
-from ...broadcast.fib import BroadcastFib
 from ...congestion.controller import ControllerConfig, RateController
 from ...congestion.flowstate import FlowSpec
 from ...errors import SimulationError
 from ...lru import BoundedLru
-from ...telemetry.trace import TRACK_BROADCAST, TRACK_PACKETS
 from ...types import NodeId
 from ..engine import EventLoop
 from ..flows import SimFlow
 from ..network import RackNetwork
 from ..packets import (
-    DROP_NOTE_SIZE_BYTES,
     KIND_BROADCAST,
     KIND_DATA,
     KIND_DROP_NOTE,
@@ -55,29 +52,39 @@ _EVENT_START = 1
 _EVENT_FINISH = 2
 _EVENT_DEMAND = 3
 
-#: Human-readable event names for telemetry labels/trace args.
+#: Human-readable event names (probe events, telemetry labels).
 _EVENT_NAMES = {_EVENT_START: "start", _EVENT_FINISH: "finish", _EVENT_DEMAND: "demand"}
 
 
-class SharedControlPlane:
-    """One rack-wide controller standing in for all per-node copies."""
+def _flow_spec(flow: SimFlow, start_ns: int) -> FlowSpec:
+    """The flow-table entry a sender broadcasts for *flow*."""
+    return FlowSpec(
+        flow_id=flow.flow_id,
+        src=flow.src,
+        dst=flow.dst,
+        protocol=flow.protocol,
+        weight=flow.weight,
+        priority=flow.priority,
+        start_time_ns=start_ns,
+        tenant=flow.tenant,
+    )
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        network: RackNetwork,
-        controller: RateController,
-    ) -> None:
+
+class _ControlPlane:
+    """Epoch driving shared by both control-plane models."""
+
+    #: One controller per node (True) or one for the whole rack.
+    per_node = False
+
+    def __init__(self, loop: EventLoop, network: RackNetwork, controllers) -> None:
         self.loop = loop
         self.network = network
-        self.controller = controller
+        #: the controllers this plane recomputes, in epoch-tick order.
+        self.controllers: List[RateController] = controllers
+        self.controller = controllers[0]
         self._stacks: List["R2C2Stack"] = []
         self._epoch_scheduled = False
-        #: optional invariant auditor (repro.validation); checks every
-        #: recomputed allocation against link capacities when installed.
-        self.auditor = None
-        #: optional crash flight recorder (repro.obs.flight).
-        self.flight = None
+        self._probe = network.probe
 
     @property
     def provider(self):
@@ -94,31 +101,41 @@ class SharedControlPlane:
         self._stacks.append(stack)
 
     def start_epochs(self) -> None:
-        """Schedule the periodic recomputation (idempotent)."""
+        """Recompute every controller at each epoch boundary (idempotent)."""
         if self._epoch_scheduled:
             return
         self._epoch_scheduled = True
-        interval = self.controller.config.recompute_interval_ns
+        interval = self.config.recompute_interval_ns
         if interval <= 0:
             return  # strawman mode recomputes per event instead
 
         def tick() -> None:
-            self.controller.recompute(self.loop.now)
-            if self.auditor is not None:
-                self.auditor.audit_allocation(self.controller.allocation)
-            if self.flight is not None:
-                allocation = self.controller.allocation
-                self.flight.record(
-                    "controller",
-                    "epoch",
-                    self.loop.now,
-                    flows=0 if allocation is None else len(allocation.rates_bps),
-                )
+            for controller in self.controllers:
+                controller.recompute(self.loop.now)
+            if self._probe is not None:
+                allocations = [c.allocation for c in self.controllers]
+                self._probe.on_epoch(allocations, self.per_node, self.loop.now)
             for stack in self._stacks:
                 stack.on_epoch()
             self.loop.schedule(interval, tick)
 
         self.loop.schedule(interval, tick)
+
+    def recompute_stats(self):
+        """Recomputation statistics of every controller, for the metrics."""
+        return [stats for c in self.controllers for stats in c.stats]
+
+
+class SharedControlPlane(_ControlPlane):
+    """One rack-wide controller standing in for all per-node copies."""
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        network: RackNetwork,
+        controller: RateController,
+    ) -> None:
+        super().__init__(loop, network, [controller])
 
     def on_flow_started(self, spec: FlowSpec, node: NodeId) -> None:
         """Sender announced a flow (its own table knows immediately)."""
@@ -145,12 +162,8 @@ class SharedControlPlane:
         """Broadcast delivery at *node*: a no-op — the shared table was
         already updated when the sender emitted the event."""
 
-    def recompute_stats(self):
-        """Recomputation statistics for the metrics collector."""
-        return self.controller.stats
 
-
-class PerNodeControlPlane:
+class PerNodeControlPlane(_ControlPlane):
     """Full-fidelity control plane: one controller per rack node.
 
     Remote nodes learn about flows only when the 16-byte broadcast packets
@@ -159,6 +172,8 @@ class PerNodeControlPlane:
     shared mode's: nodes whose tables agree (the overwhelmingly common
     case) reuse one water-fill result.
     """
+
+    per_node = True
 
     def __init__(
         self,
@@ -170,10 +185,6 @@ class PerNodeControlPlane:
         telemetry=None,
         nodes=None,
     ) -> None:
-        self.loop = loop
-        self.network = network
-        self._config = config
-        self._provider = provider
         self._cache = BoundedLru(4096)
         #: nodes this plane manages — all of them in a serial run, one
         #: shard's subset under repro.distsim.  Ascending order keeps the
@@ -192,55 +203,9 @@ class PerNodeControlPlane:
             )
             for node in self._nodes
         }
-        self.controllers: List[RateController] = [
-            self._by_node[node] for node in self._nodes
-        ]
-        #: kept for interface parity (metrics, reliable stack internals).
-        self.controller = self.controllers[0]
-        self._stacks: List["R2C2Stack"] = []
-        self._epoch_scheduled = False
-        #: optional invariant auditor (repro.validation).
-        self.auditor = None
-        #: optional crash flight recorder (repro.obs.flight).
-        self.flight = None
-
-    @property
-    def provider(self):
-        """The shared link-weight cache."""
-        return self._provider
-
-    @property
-    def config(self) -> ControllerConfig:
-        """The rack-wide controller configuration."""
-        return self._config
-
-    def register(self, stack: "R2C2Stack") -> None:
-        """A node stack joins the control plane."""
-        self._stacks.append(stack)
-
-    def start_epochs(self) -> None:
-        """Every node recomputes at the same epoch boundaries."""
-        if self._epoch_scheduled:
-            return
-        self._epoch_scheduled = True
-        interval = self._config.recompute_interval_ns
-        if interval <= 0:
-            return
-
-        def tick() -> None:
-            for controller in self.controllers:
-                controller.recompute(self.loop.now)
-                if self.auditor is not None:
-                    self.auditor.audit_allocation(controller.allocation)
-            if self.flight is not None:
-                self.flight.record(
-                    "controller", "epoch", self.loop.now, nodes=len(self.controllers)
-                )
-            for stack in self._stacks:
-                stack.on_epoch()
-            self.loop.schedule(interval, tick)
-
-        self.loop.schedule(interval, tick)
+        super().__init__(
+            loop, network, [self._by_node[node] for node in self._nodes]
+        )
 
     def on_flow_started(self, spec: FlowSpec, node: NodeId) -> None:
         """The sender's controller learns immediately; others by delivery."""
@@ -277,13 +242,6 @@ class PerNodeControlPlane:
         else:
             raise SimulationError(f"unknown broadcast event {event}")
 
-    def recompute_stats(self):
-        """Aggregate recomputation statistics across all controllers."""
-        stats = []
-        for controller in self.controllers:
-            stats.extend(controller.stats)
-        return stats
-
     def recompute_stats_by_node(self):
         """Per-node recomputation statistics (``{node: [stats, ...]}``).
 
@@ -307,16 +265,9 @@ class R2C2Stack(HostStack):
         seed: int = 0,
         n_trees: int = 4,
         metrics=None,
-        telemetry=None,
-        obs=None,
-        flight=None,
     ) -> None:
         super().__init__(node, loop, network)
         self.control = control
-        #: optional causal-tracing session (repro.obs) and crash flight
-        #: recorder; None on every default path.
-        self._obs = obs
-        self._flight = flight
         self._flows = flows_by_id
         self._mtu = mtu_payload
         # Test-only planted fault (the fuzzer's end-to-end exercise): with
@@ -330,31 +281,6 @@ class R2C2Stack(HostStack):
         self._n_trees = n_trees
         self._next_tree = node  # stagger tree choice across nodes
         self._metrics = metrics
-        # Telemetry instruments, resolved once (see repro.telemetry); all
-        # instruments are shared registry objects, so per-stack increments
-        # aggregate rack-wide.  Falsy when telemetry is off.
-        if telemetry is not None:
-            registry = telemetry.metrics
-            # ``or None`` collapses disabled (falsy null) sinks to None so
-            # the per-packet guards below test None at C speed instead of
-            # calling a Python-level __bool__.
-            self._ctr_bcast_events = {
-                _EVENT_START: registry.counter("broadcast.announcements", event="start"),
-                _EVENT_FINISH: registry.counter("broadcast.announcements", event="finish"),
-                _EVENT_DEMAND: registry.counter("broadcast.announcements", event="demand"),
-            } if registry else None
-            self._ctr_bcast_wire_bytes = registry.counter("broadcast.wire_bytes") or None
-            self._ctr_bcast_wire_packets = registry.counter("broadcast.wire_packets") or None
-            self._ctr_bcast_retransmits = registry.counter("broadcast.retransmissions") or None
-            self._tel_trace = telemetry.trace or None
-            self._pkt_sample_every = telemetry.config.packet_sample_every
-        else:
-            self._ctr_bcast_events = None
-            self._ctr_bcast_wire_bytes = None
-            self._ctr_bcast_wire_packets = None
-            self._ctr_bcast_retransmits = None
-            self._tel_trace = None
-            self._pkt_sample_every = 0
         self._active_local: Set[int] = set()
         self._stalled: Set[int] = set()
         self._bcast_seq = 0
@@ -376,27 +302,10 @@ class R2C2Stack(HostStack):
             )
         if flow.src == flow.dst:
             raise SimulationError("self-flows are not meaningful in the rack fabric")
-        spec = FlowSpec(
-            flow_id=flow.flow_id,
-            src=flow.src,
-            dst=flow.dst,
-            protocol=flow.protocol,
-            weight=flow.weight,
-            priority=flow.priority,
-            start_time_ns=self.loop.now,
-            tenant=flow.tenant,
-        )
+        spec = _flow_spec(flow, self.loop.now)
         self.control.on_flow_started(spec, self.node)
-        if self._flight is not None:
-            self._flight.record(
-                "stack",
-                "flow_start",
-                self.loop.now,
-                flow=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                size=flow.size_bytes,
-            )
+        if self._probe is not None:
+            self._probe.on_flow_start(flow, self.loop.now)
         self._broadcast(flow, _EVENT_START, spec)
         self._active_local.add(flow.flow_id)
         if flow.app_rate_bps is not None:
@@ -419,20 +328,9 @@ class R2C2Stack(HostStack):
     def _send_broadcast(self, flow: SimFlow, event: int, data, seq: int) -> None:
         tree_id = self._next_tree % self._n_trees
         self._next_tree += 1
-        if self._ctr_bcast_events is not None:
-            self._ctr_bcast_events[event].inc()
-        if self._tel_trace:
-            self._tel_trace.instant(
-                "announce",
-                "broadcast",
-                self.loop.now,
-                tid=TRACK_BROADCAST,
-                args={
-                    "event": _EVENT_NAMES.get(event, event),
-                    "flow": flow.flow_id,
-                    "node": self.node,
-                    "tree": tree_id,
-                },
+        if self._probe is not None:
+            self._probe.on_broadcast_sent(
+                self.node, flow.flow_id, _EVENT_NAMES[event], tree_id, self.loop.now
             )
         packet = SimPacket(
             kind=KIND_BROADCAST,
@@ -455,24 +353,9 @@ class R2C2Stack(HostStack):
             return  # aged out of the replay window
         flow, event, data = pending
         self.broadcast_retransmissions += 1
-        if self._ctr_bcast_retransmits:
-            self._ctr_bcast_retransmits.inc()
-        if self._flight is not None:
-            self._flight.record(
-                "stack",
-                "broadcast_retransmit",
-                self.loop.now,
-                flow=flow.flow_id,
-                dropped_at=dropped_at,
-                seq=seq,
-            )
-        if self._tel_trace:
-            self._tel_trace.instant(
-                "retransmit",
-                "broadcast",
-                self.loop.now,
-                tid=TRACK_BROADCAST,
-                args={"flow": flow.flow_id, "dropped_at": dropped_at, "seq": seq},
+        if self._probe is not None:
+            self._probe.on_broadcast_retransmit(
+                self.node, flow.flow_id, dropped_at, seq, self.loop.now
             )
         self._send_broadcast(flow, event, data, seq)
 
@@ -482,11 +365,11 @@ class R2C2Stack(HostStack):
         rate = self.control.rate_for(flow.flow_id, self.node)
         if rate <= 0:
             self._stalled.add(flow.flow_id)
-            if self._obs is not None:
-                self._obs.on_stall(flow.flow_id, self.loop.now)
+            if self._probe is not None:
+                self._probe.on_stall(flow.flow_id, self.loop.now)
             return
-        if self._obs is not None:
-            self._obs.on_resume(flow.flow_id, self.loop.now)
+        if self._probe is not None:
+            self._probe.on_resume(flow.flow_id, self.loop.now)
         payload = min(self._mtu, flow.remaining_bytes)
         available = flow.produced_bytes(self.loop.now) - flow.bytes_sent
         if available < payload:
@@ -495,8 +378,8 @@ class R2C2Stack(HostStack):
             assert flow.app_rate_bps is not None
             needed = payload - available
             delay = max(1, int(needed * 8 * 1e9 / flow.app_rate_bps))
-            if self._obs is not None:
-                self._obs.on_host_wait(flow.flow_id, delay)
+            if self._probe is not None:
+                self._probe.on_host_wait(flow.flow_id, delay)
             self.loop.schedule(delay, lambda f=flow: self._emit(f))
             return
         size = data_packet_size(payload)
@@ -515,8 +398,8 @@ class R2C2Stack(HostStack):
         )
         flow.next_seq += 1
         flow.bytes_sent += payload
-        if self._obs is not None:
-            self._obs.on_inject(flow, packet, self.loop.now)
+        if self._probe is not None:
+            self._probe.on_inject(flow, packet, self.loop.now)
         self.network.inject(self.node, packet)
 
         if flow.sender_done:
@@ -543,27 +426,12 @@ class R2C2Stack(HostStack):
             flow = self._flows.get(flow_id)
             if flow is None or flow.sender_done:
                 continue
-            spec = FlowSpec(
-                flow_id=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                protocol=flow.protocol,
-                weight=flow.weight,
-                priority=flow.priority,
-                start_time_ns=flow.start_ns,
-                tenant=flow.tenant,
-            )
+            spec = _flow_spec(flow, flow.start_ns)
             self.control.on_flow_reannounced(spec, self.node)
             self._broadcast(flow, _EVENT_START, spec)
             count += 1
-        if self._tel_trace:
-            self._tel_trace.instant(
-                "reannounce_round",
-                "broadcast",
-                self.loop.now,
-                tid=TRACK_BROADCAST,
-                args={"node": self.node, "flows": count},
-            )
+        if self._probe is not None:
+            self._probe.on_reannounce(self.node, count, self.loop.now)
         return count
 
     def on_epoch(self) -> None:
@@ -599,9 +467,10 @@ class R2C2Stack(HostStack):
                 if self._metrics is not None:
                     self._metrics.broadcast_bytes += packet.size_bytes
                     self._metrics.broadcast_packets += 1
-                if self._ctr_bcast_wire_bytes:
-                    self._ctr_bcast_wire_bytes.inc(packet.size_bytes)
-                    self._ctr_bcast_wire_packets.inc()
+                if self._probe is not None:
+                    self._probe.on_broadcast_wire_delivery(
+                        self.node, packet, self.loop.now
+                    )
             # Shared mode: no-op (the sender already applied the event);
             # per-node mode: this delivery is when the node's table learns.
             self.control.apply_broadcast(self.node, packet.src, packet.payload)
@@ -621,20 +490,6 @@ class R2C2Stack(HostStack):
             return
         if self._metrics is not None:
             self._metrics.packet_latency.record(self.loop.now - packet.sent_ns)
-        if (
-            self._tel_trace
-            and self._pkt_sample_every
-            and packet.seq % self._pkt_sample_every == 0
-        ):
-            # Sampled packet lifecycle: injection -> delivery as a span.
-            self._tel_trace.complete(
-                f"flow {packet.flow_id}",
-                "packet",
-                packet.sent_ns,
-                self.loop.now - packet.sent_ns,
-                tid=TRACK_PACKETS,
-                args={"seq": packet.seq, "bytes": packet.size_bytes},
-            )
         flow.record_in_order(packet.seq)
         flow.bytes_received += packet.payload
         done_at = flow.size_bytes
@@ -642,16 +497,4 @@ class R2C2Stack(HostStack):
             # Planted fault: completion fires once the flow is within one
             # MTU of done, i.e. one segment early for multi-segment flows.
             done_at = max(1, flow.size_bytes - self._mtu)
-        if flow.bytes_received >= done_at and flow.completed_ns is None:
-            flow.completed_ns = self.loop.now
-            if self._flight is not None:
-                self._flight.record(
-                    "stack",
-                    "flow_complete",
-                    self.loop.now,
-                    flow=flow.flow_id,
-                    node=self.node,
-                )
-        if packet.obs is not None and self._obs is not None:
-            self._obs.on_delivered(flow, packet, self.loop.now)
-        self._audit_flow(flow)
+        self._delivered(flow, packet, flow.bytes_received >= done_at)

@@ -2,7 +2,9 @@
 
 One :class:`Telemetry` object is threaded through a run — the simulator,
 the congestion controller, the broadcast substrate, the Maze runner and
-the invariant auditor all write into its two sinks:
+the invariant auditor all write into its two sinks (the simulator's host
+stacks through :class:`~repro.telemetry.subscriber.TelemetryProbe`, one
+subscriber of the run's :class:`~repro.sim.probe.Probe`):
 
 * :attr:`Telemetry.metrics` — a :class:`MetricsRegistry` of labeled
   counters, gauges, fixed-bucket histograms and time series, exported as
@@ -14,8 +16,8 @@ the invariant auditor all write into its two sinks:
 
 Disabled telemetry is a *null sink*: every site still resolves its
 instruments, but they are falsy no-ops, so hot paths pay one truthiness
-test — the same discipline (and cost) as the validation auditor's
-``is not None`` hooks.  ``benchmarks/perf/bench_telemetry_overhead.py``
+test; in the packet simulator a session that records nothing subscribes
+no probe at all.  ``benchmarks/perf/bench_telemetry_overhead.py``
 guards this at <= 2 % versus a run with no telemetry object at all.
 
 Metric naming: dotted ``subsystem.quantity`` names with unit suffixes

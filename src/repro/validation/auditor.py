@@ -1,24 +1,24 @@
 """Runtime invariant auditor for the packet simulator.
 
-The auditor is a passive observer wired into three layers:
+The auditor is a passive observer of three layers:
 
 * the :class:`~repro.sim.engine.EventLoop` (via ``attach_loop``) — checks
   that the simulation clock never moves backwards and that events sharing a
   timestamp execute in scheduling order (FIFO causality);
-* the :class:`~repro.sim.network.RackNetwork` and its output ports (via the
-  ``auditor=`` constructor argument) — checks packet and byte conservation
-  per port, that no port ever serializes two packets concurrently (which is
-  exactly what "load above line rate" would look like in this simulator),
-  and that every propagated packet eventually arrives;
+* the :class:`~repro.sim.network.RackNetwork` and its output ports — checks
+  packet and byte conservation per port, that no port ever serializes two
+  packets concurrently (which is exactly what "load above line rate" would
+  look like in this simulator), and that every propagated packet
+  eventually arrives;
 * the host stacks and the control plane — checks monotone flow completion
   (received bytes never shrink, completion is set exactly once and never
   before the flow started) and that every rate allocation the control plane
   produces respects headroom-adjusted link capacities.
 
-All hooks are disabled by simply not attaching an auditor; the instrumented
-code then pays one ``is not None`` branch per event, which is noise next to
-the work each event performs.  A constructed auditor can also be paused
-with :attr:`enabled`.
+The last two arrive as :class:`~repro.sim.probe.Probe` events: the auditor
+subscribes to the run's probe (``RackNetwork(probe=...)``, or
+:func:`repro.sim.runner.build_observers`).  A constructed auditor can be
+paused with :attr:`enabled`.
 
 In ``strict`` mode (default) any violation raises
 :class:`~repro.errors.InvariantViolation` at the point of detection; in
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import InvariantViolation
+from ..sim.probe import Probe
 from ..types import NodeId
 
 #: Relative tolerance for capacity checks (floating-point dust from the
@@ -45,6 +46,7 @@ _CAP_REL_TOL = 1e-6
 class _PortAudit:
     """Conservation counters for one output port."""
 
+    port: object
     accepted: int = 0
     rejected: int = 0
     started: int = 0
@@ -79,7 +81,7 @@ class AuditReport:
         return not self.violations
 
 
-class InvariantAuditor:
+class InvariantAuditor(Probe):
     """Machine-checks the simulator's structural invariants at runtime."""
 
     def __init__(self, strict: bool = True, telemetry=None) -> None:
@@ -87,7 +89,6 @@ class InvariantAuditor:
         self.enabled = True
         self.violations: List[str] = []
         self._loop = None
-        self._network = None
         #: optional crash flight recorder (repro.obs.flight); every
         #: violation is recorded to the "auditor" ring before strict mode
         #: raises, so the dump attached to the crash includes it.
@@ -127,12 +128,6 @@ class InvariantAuditor:
         """Observe *loop*'s events (clock monotonicity, FIFO causality)."""
         self._loop = loop
         loop.attach_observer(self)
-
-    def attach_network(self, network) -> None:
-        """Called by :class:`~repro.sim.network.RackNetwork` on construction."""
-        self._network = network
-        if self._loop is None:
-            self._loop = network._loop
 
     # ------------------------------------------------------------------
     # Violation plumbing
@@ -198,28 +193,35 @@ class InvariantAuditor:
     def _port(self, port) -> _PortAudit:
         audit = self._ports.get((port.src, port.dst))
         if audit is None:
-            audit = _PortAudit()
+            audit = _PortAudit(port)
             self._ports[(port.src, port.dst)] = audit
         return audit
 
-    def on_port_send(self, port, packet, accepted: bool) -> None:
-        """A packet was offered to a port's queue."""
+    def on_enqueue(self, port, packet, now_ns: int) -> None:
+        """A port's queue accepted a packet."""
         if not self.enabled:
             return
         audit = self._port(port)
-        if accepted:
-            audit.accepted += 1
-            audit.bytes_accepted += packet.size_bytes
-        else:
-            audit.rejected += 1
-            self._rejected += 1
+        audit.accepted += 1
+        audit.bytes_accepted += packet.size_bytes
+        self._check_occupancy(port)
+
+    def on_drop(self, port, packet, now_ns: int) -> None:
+        """A port's queue rejected a packet."""
+        if not self.enabled:
+            return
+        self._port(port).rejected += 1
+        self._rejected += 1
+        self._check_occupancy(port)
+
+    def _check_occupancy(self, port) -> None:
         occupancy = port.queue.occupancy_bytes
         if occupancy < 0:
             self._violate(
                 f"port {port.src}->{port.dst}: negative queue occupancy {occupancy}"
             )
 
-    def on_transmit_start(self, port, packet, duration_ns: int) -> None:
+    def on_transmit_start(self, port, packet, duration_ns: int, now_ns: int) -> None:
         """A port began serializing a packet for *duration_ns*."""
         if not self.enabled:
             return
@@ -227,9 +229,7 @@ class InvariantAuditor:
         audit.started += 1
         audit.bytes_started += packet.size_bytes
         audit.busy_ns += duration_ns
-        if self._loop is None:
-            return  # no clock to check serialization windows against
-        now = self._loop.now
+        now = now_ns
         if now < audit.tx_busy_until:
             self._violate(
                 f"port {port.src}->{port.dst}: serialization overlap at {now} ns "
@@ -243,7 +243,7 @@ class InvariantAuditor:
                 f"{audit.busy_ns} ns exceeds elapsed time {now + duration_ns} ns"
             )
 
-    def on_wire_loss(self, port, packet) -> None:
+    def on_wire_loss(self, port, packet, now_ns: int) -> None:
         """A transmitted packet was corrupted on the wire (fault injection)."""
         if not self.enabled:
             return
@@ -251,20 +251,20 @@ class InvariantAuditor:
         audit.finished += 1
         audit.wire_lost += 1
 
-    def on_propagate(self, port, packet) -> None:
+    def on_propagate(self, port, packet, now_ns: int) -> None:
         """A packet finished serialization and entered propagation."""
         if not self.enabled:
             return
         self._port(port).finished += 1
         self._propagated += 1
 
-    def on_arrive(self, node: NodeId, packet) -> None:
+    def on_arrive(self, node: NodeId, packet, now_ns: int) -> None:
         """A packet finished propagating to *node*."""
         if not self.enabled:
             return
         self._arrived += 1
 
-    def on_local_deliver(self, node: NodeId, packet) -> None:
+    def on_local_deliver(self, node: NodeId, packet, now_ns: int) -> None:
         """A packet was handed to the host stack at *node*."""
         if not self.enabled:
             return
@@ -300,8 +300,13 @@ class InvariantAuditor:
         self._flow_state[flow.flow_id] = (flow.bytes_received, flow.completed_ns)
 
     # ------------------------------------------------------------------
-    # Control-plane hook
+    # Control-plane hooks
     # ------------------------------------------------------------------
+    def on_epoch(self, allocations, per_node: bool, now_ns: int) -> None:
+        """Probe hook: audit every allocation an epoch produced."""
+        for allocation in allocations:
+            self.audit_allocation(allocation)
+
     def audit_allocation(self, allocation) -> None:
         """Check one :class:`~repro.congestion.waterfill.RateAllocation`:
         non-negative finite rates, and per-link load within the
@@ -338,9 +343,8 @@ class InvariantAuditor:
         if not self.enabled:
             return
         for (src, dst), audit in self._ports.items():
-            port = self._network.port(src, dst) if self._network is not None else None
-            queued = len(port.queue) if port is not None else 0
-            in_service = 1 if (port is not None and port.busy) else 0
+            queued = len(audit.port.queue)
+            in_service = 1 if audit.port.busy else 0
             if audit.accepted != audit.started + queued:
                 self._violate(
                     f"port {src}->{dst}: conservation broken — accepted "

@@ -125,7 +125,7 @@ class TestInjectedDataPlaneBug:
         loop = EventLoop()
         auditor = InvariantAuditor(strict=True)
         auditor.attach_loop(loop)
-        network = RackNetwork(loop, topo, auditor=auditor)
+        network = RackNetwork(loop, topo, probe=auditor)
         port = network.port(0, 1)
         port.send(SimPacket(KIND_DATA, 0, 0, 1, 0, 8000, path=(0, 1)))
         port.send(SimPacket(KIND_DATA, 0, 0, 1, 1, 8000, path=(0, 1)))
@@ -138,7 +138,7 @@ class TestInjectedDataPlaneBug:
         loop = EventLoop()
         auditor = InvariantAuditor(strict=True)
         auditor.attach_loop(loop)
-        network = RackNetwork(loop, topo, auditor=auditor)
+        network = RackNetwork(loop, topo, probe=auditor)
 
         class Sink:
             def deliver(self, packet):
